@@ -89,22 +89,10 @@ pub enum DomainEngine {
     #[default]
     Propagation,
     /// The legacy exhaustive odometer, capped at
-    /// `MAX_COMBINATIONS` joint combinations. Kept as the test oracle:
-    /// on any space it can finish, the propagation engine must agree
-    /// bit-for-bit.
+    /// `MAX_COMBINATIONS` joint combinations. Kept as the test oracle
+    /// (selected through [`analyze_with_engine`]): on any space it can
+    /// finish, the propagation engine must agree bit-for-bit.
     Exhaustive,
-}
-
-impl DomainEngine {
-    /// Engine selection from the environment: set
-    /// `DSE_ANALYZE_ENGINE=exhaustive` to force the legacy oracle;
-    /// anything else (including unset) selects propagation.
-    pub fn from_env() -> DomainEngine {
-        match std::env::var("DSE_ANALYZE_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("exhaustive") => DomainEngine::Exhaustive,
-            _ => DomainEngine::Propagation,
-        }
-    }
 }
 
 /// An analysis [`Report`] plus the solver-side work counters behind it
@@ -119,10 +107,10 @@ pub struct Analysis {
 }
 
 /// Runs every analysis pass over `space` and returns the combined,
-/// deduplicated, severity-sorted report. Engine selection follows
-/// [`DomainEngine::from_env`].
+/// deduplicated, severity-sorted report, proving domain verdicts with
+/// [`DomainEngine::Propagation`].
 pub fn analyze(space: &DesignSpace) -> Report {
-    analyze_with_engine(space, DomainEngine::from_env())
+    analyze_with_engine(space, DomainEngine::Propagation)
 }
 
 /// [`analyze`] with an explicit domain-pass engine.

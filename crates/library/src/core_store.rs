@@ -29,8 +29,9 @@
 //! `Int`/`Real` collapse onto one numeric key (`-0.0` normalized onto
 //! `0.0`), `NaN` matches nothing, and `Text`/`Flag` compare structurally
 //! — so posting-list hits are bit-identical to the legacy scan's
-//! verdicts. The scan is kept alive as a differential oracle behind
-//! `DSE_EXPLORER_ENGINE=scan` (see [`crate::Explorer`]).
+//! verdicts. The scan is kept alive as a differential oracle that tests
+//! select with `Explorer::set_engine(ExplorerEngine::Scan)` (see
+//! [`crate::Explorer`]).
 
 use std::collections::{BTreeMap, HashMap};
 

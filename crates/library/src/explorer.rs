@@ -9,10 +9,10 @@
 //! Queries run on the columnar [`CoreStore`] by default: the surviving
 //! set is a bitset maintained incrementally across `decide`/`retract`
 //! (see [`core_store`](crate::core_store)). The legacy per-query scan is
-//! kept as a differential oracle behind `DSE_EXPLORER_ENGINE=scan`
-//! (companion to `DSE_ANALYZE_ENGINE=exhaustive` on the analyzer side);
-//! both engines iterate the same deduplicated roster and are
-//! bit-identical at every `DSE_THREADS` setting.
+//! kept as a differential oracle that tests select with
+//! [`Explorer::set_engine`] (companion to `DomainEngine::Exhaustive` on
+//! the analyzer side); both engines iterate the same deduplicated roster
+//! and are bit-identical at every `DSE_THREADS` setting.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -33,17 +33,6 @@ pub enum ExplorerEngine {
     Columnar,
     /// The legacy full scan over the roster — the differential oracle.
     Scan,
-}
-
-impl ExplorerEngine {
-    /// Engine selected by `DSE_EXPLORER_ENGINE` (`scan` forces the
-    /// oracle; anything else, or unset, is columnar).
-    pub fn from_env() -> Self {
-        match std::env::var("DSE_EXPLORER_ENGINE") {
-            Ok(v) if v == "scan" => ExplorerEngine::Scan,
-            _ => ExplorerEngine::Columnar,
-        }
-    }
 }
 
 /// An exploration session transparently connected to reuse libraries.
@@ -141,7 +130,7 @@ impl<'a> Explorer<'a> {
             roster,
             store,
             cursor,
-            engine: ExplorerEngine::from_env(),
+            engine: ExplorerEngine::Columnar,
         }
     }
 

@@ -37,7 +37,7 @@ use std::{io, thread};
 use foundation::net::{self, TcpServer, MAX_WIRE_BYTES};
 
 use crate::engine::Engine;
-use crate::protocol::{err_response, parse_request, render_err_into, ProtocolError};
+use crate::protocol::{render_err_into, Decoded, ProtocolError};
 
 /// Registries of live connections: socket clones (for drain wake-up)
 /// and thread handles (for join), both keyed by a per-connection id so
@@ -216,12 +216,15 @@ impl Server {
 /// Answers an over-cap connection with one structured refusal line and
 /// drops it.
 fn refuse_connection(stream: TcpStream, retry_after_ms: u64) {
-    let resp = err_response(
-        &None,
+    let mut resp = Vec::new();
+    render_err_into(
+        &mut resp,
+        None,
         &ProtocolError::overloaded("connection limit reached", retry_after_ms),
     );
+    resp.push(b'\n');
     let mut writer = io::BufWriter::new(stream);
-    let _ = net::write_line(&mut writer, &foundation::json::encode(&resp));
+    let _ = writer.write_all(&resp);
     let _ = writer.flush();
 }
 
@@ -308,19 +311,16 @@ fn connection(engine: &Engine, stream: TcpStream, stop: &AtomicBool) {
             }
             for line in &shed {
                 engine.note_overload();
-                let (_, env) = parse_request(line);
                 let mut bytes = Vec::new();
-                foundation::json::write_json(
+                render_err_into(
                     &mut bytes,
-                    &err_response(
-                        &env.id,
-                        &ProtocolError::overloaded(
-                            format!(
-                                "batch limit reached ({} in flight on this connection)",
-                                guard_cfg.max_inflight_per_conn
-                            ),
-                            guard_cfg.retry_after_ms,
+                    Decoded::new(line).envelope().id,
+                    &ProtocolError::overloaded(
+                        format!(
+                            "batch limit reached ({} in flight on this connection)",
+                            guard_cfg.max_inflight_per_conn
                         ),
+                        guard_cfg.retry_after_ms,
                     ),
                 );
                 bytes.push(b'\n');

@@ -27,28 +27,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dse::prelude::{
-    CdoId, DesignSpace, DiagCode, DseError, EstimateCache, ExplorationSession, FaultPlan,
+    CdoId, Decision, DesignSpace, DiagCode, DseError, EstimateCache, ExplorationSession, FaultPlan,
     FaultRates, Figure, Fuel, Journal, JournalAppender, JournalDir, JournalRecord, Property,
     PropertyKind, SessionSnapshot, Solver, Supervisor, SupervisorConfig, Value, Viability,
 };
 use dse_library::{
     load_all_layers, roster_from_indices, roster_indices, CoreStore, Explorer, ReuseLibrary,
 };
-use foundation::json::{escaped_len, write_json, Json, Writer};
+use foundation::json::{escaped_len, Writer};
 use techlib::Technology;
 
 use crate::guard::{GuardConfig, FUEL_PER_MS};
-use crate::protocol::{
-    err_response, ok_response, parse_request, parse_request_fast, render_err_into,
-    render_ok_prefix, value_to_json, Envelope, FastEnvelope, FastRequest, ProtocolError, Request,
-};
-
-/// Environment variable selecting the wire codec: the default is the
-/// zero-copy fast path (borrowed decode + direct `Writer` rendering)
-/// with tree fallback for anything unusual; `tree` forces every request
-/// through the original `Json`-tree codec, which stays wired in as the
-/// differential oracle (the `DSE_ANALYZE_ENGINE` pattern).
-pub const WIRE_ENGINE_ENV: &str = "DSE_WIRE_ENGINE";
+use crate::protocol::{render_err_into, render_ok_prefix, Decoded, FastRequest, ProtocolError};
 
 /// Default cap on core names returned by `surviving_cores`.
 const DEFAULT_CORE_LIMIT: usize = 64;
@@ -334,7 +324,6 @@ impl EngineBuilder {
             supervisor: Mutex::new(supervisor),
             cache,
             guard: self.guard,
-            wire_tree: std::env::var(WIRE_ENGINE_ENV).is_ok_and(|v| v == "tree"),
             draining: AtomicBool::new(false),
             boot_warnings: Vec::new(),
             requests: AtomicU64::new(0),
@@ -363,9 +352,6 @@ pub struct Engine {
     supervisor: Mutex<Supervisor>,
     cache: Arc<EstimateCache>,
     guard: GuardConfig,
-    /// `DSE_WIRE_ENGINE=tree`: route every request through the original
-    /// tree codec instead of the zero-copy fast path.
-    wire_tree: bool,
     draining: AtomicBool,
     boot_warnings: Vec<String>,
     requests: AtomicU64,
@@ -378,24 +364,26 @@ pub struct Engine {
     compactions: AtomicU64,
 }
 
-type OpResult = Result<Vec<(String, Json)>, ProtocolError>;
-
-/// The outcome of a fast-path op, produced by the same op cores the
-/// tree path uses. Each variant renders through two codecs — tree
-/// fields (the oracle) and the direct [`Writer`] — which the wire tests
-/// hold byte-identical.
-enum FastOut {
+/// The typed outcome of one op, rendered straight into the response
+/// buffer by [`Engine::render_ok`]. Fields the request already holds
+/// (decided name and value, probed name, report and closed session,
+/// invalidated tool) are rendered from the request, not copied here.
+enum Output {
     Open(OpenOut),
     Decide(DecideOut),
     Retract(RetractOut),
     Eval(EvalOut),
     Cores(CoresOut),
     Viable(ViableOut),
-    /// The closed session id.
-    Close(String),
+    Report(ReportOut),
+    Closed,
     /// Stats render straight off the engine's counters; there is
     /// nothing to carry.
     Stats,
+    /// Cache entries an `invalidate` dropped.
+    Invalidated(usize),
+    /// A `shutdown` flipped the engine to draining.
+    Draining,
 }
 
 struct OpenOut {
@@ -437,6 +425,18 @@ struct CoresOut {
 struct ViableOut {
     viable: Viability,
     conflict: Option<String>,
+}
+
+struct ReportOut {
+    snapshot: String,
+    focus: String,
+    /// Name-sorted bindings.
+    bindings: Vec<(String, Value)>,
+    decisions: Vec<Decision>,
+    open_requirements: Vec<String>,
+    open_issues: Vec<String>,
+    /// Name-sorted estimates.
+    estimates: Vec<(String, FigureOut)>,
 }
 
 impl Engine {
@@ -493,29 +493,7 @@ impl Engine {
     /// and a hot-path request, the whole decode→dispatch→render cycle
     /// performs zero codec allocations.
     pub fn handle_line_into(&self, line: &str, out: &mut Vec<u8>) {
-        if self.wire_tree {
-            out.extend_from_slice(self.handle_line_tree(line).as_bytes());
-            return;
-        }
-        match parse_request_fast(line) {
-            Some((req, env)) => self.handle_fast(&req, &env, out),
-            // Anything unusual — non-hot ops, tagged values, escapes,
-            // malformed lines — takes the tree path, which owns every
-            // error message.
-            None => {
-                let (parsed, env) = parse_request(line);
-                write_json(out, &self.handle_parsed(parsed, &env));
-            }
-        }
-    }
-
-    /// The original tree-codec request path, kept fully wired as the
-    /// differential oracle: `DSE_WIRE_ENGINE=tree` routes everything
-    /// here, and the wire tests diff its output byte-for-byte against
-    /// the zero-copy path.
-    pub fn handle_line_tree(&self, line: &str) -> String {
-        let (parsed, env) = parse_request(line);
-        foundation::json::encode(&self.handle_parsed(parsed, &env))
+        self.handle(&Decoded::new(line), out);
     }
 
     /// Handles a batch of request lines (e.g. everything a pipelining
@@ -544,36 +522,37 @@ impl Engine {
                 })
                 .collect();
         }
-        enum Parsed<'a> {
-            Fast(FastRequest<'a>, FastEnvelope<'a>),
-            Tree(Result<Request, ProtocolError>, Envelope),
+        let decoded: Vec<Decoded> = lines.iter().map(|l| Decoded::new(l)).collect();
+        let mut out = vec![Vec::new(); lines.len()];
+        // A shutdown is a barrier: everything submitted before it answers
+        // first, and everything after it sees the drain.
+        let mut start = 0;
+        for (i, d) in decoded.iter().enumerate() {
+            if let Ok(FastRequest::Shutdown) = d.request() {
+                self.answer_in_parallel(&decoded, start..i, &mut out);
+                self.handle(d, &mut out[i]);
+                start = i + 1;
+            }
         }
-        let parsed: Vec<Parsed> = lines
-            .iter()
-            .map(|l| {
-                if !self.wire_tree {
-                    if let Some((req, env)) = parse_request_fast(l) {
-                        return Parsed::Fast(req, env);
-                    }
-                }
-                let (req, env) = parse_request(l);
-                Parsed::Tree(req, env)
-            })
-            .collect();
+        self.answer_in_parallel(&decoded, start..decoded.len(), &mut out);
+        out
+    }
 
+    /// Answers `decoded[range]` into the matching `out` slots, fanning
+    /// sessions out over the pool while keeping each session's order.
+    fn answer_in_parallel(
+        &self,
+        decoded: &[Decoded<'_>],
+        range: std::ops::Range<usize>,
+        out: &mut [Vec<u8>],
+    ) {
         // Group request indices by session; everything else (control
         // ops, parse failures, opens of generated ids) is its own
-        // singleton group and free to run in parallel. Fast and
-        // tree-parsed requests for the same session land in the same
-        // group, preserving submission order between them.
+        // singleton group and free to run in parallel.
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut by_session: HashMap<&str, usize> = HashMap::new();
-        for (i, p) in parsed.iter().enumerate() {
-            let session = match p {
-                Parsed::Fast(req, _) => req.session(),
-                Parsed::Tree(req, _) => req.as_ref().ok().and_then(session_of),
-            };
-            match session {
+        for i in range {
+            match decoded[i].request().ok().and_then(|req| req.session()) {
                 Some(session) => match by_session.get(session) {
                     Some(&g) => groups[g].push(i),
                     None => {
@@ -593,35 +572,35 @@ impl Engine {
                     // fit; a cores page grows once) so rendering doesn't
                     // realloc its way up from empty.
                     let mut out = Vec::with_capacity(256);
-                    match &parsed[i] {
-                        Parsed::Fast(req, env) => self.handle_fast(req, env, &mut out),
-                        Parsed::Tree(req, env) => {
-                            write_json(&mut out, &self.handle_parsed(req.clone(), env));
-                        }
-                    }
+                    self.handle(&decoded[i], &mut out);
                     (i, out)
                 })
                 .collect()
         });
-        let mut out = vec![Vec::new(); lines.len()];
         for (i, response) in answered.into_iter().flatten() {
             out[i] = response;
         }
-        out
     }
 
-    /// The zero-copy sibling of [`Engine::handle_parsed`]: identical
-    /// admission (request counter, fuel budget, panic containment,
-    /// guard counters), but the response is rendered straight into
-    /// `out` with no `Json` tree.
-    fn handle_fast(&self, req: &FastRequest<'_>, env: &FastEnvelope<'_>, out: &mut Vec<u8>) {
+    /// Admission (request counter, fuel budget), panic containment and
+    /// guard counters for one decoded request; the response is rendered
+    /// straight into `out`.
+    fn handle(&self, decoded: &Decoded<'_>, out: &mut Vec<u8>) {
         self.requests.fetch_add(1, Ordering::Relaxed);
+        let env = decoded.envelope();
+        let req = match decoded.request() {
+            Ok(req) => req,
+            Err(e) => return render_err_into(out, env.id, &e),
+        };
+        // A deadline is a cooperative fuel budget, not a wall clock: the
+        // same request with the same deadline_ms exhausts at the same
+        // point on every run, regardless of machine or thread count.
         let budget = env
             .deadline_ms
             .map(|ms| Fuel::new(ms.saturating_mul(FUEL_PER_MS)));
         // Dispatch first, render after: a panic mid-operation must not
         // leave half a response in the caller's buffer.
-        let result = catch_unwind(AssertUnwindSafe(|| self.dispatch_fast(req, budget.as_ref())))
+        let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(&req, budget.as_ref())))
             .unwrap_or_else(|p| {
                 let what = p
                     .downcast_ref::<&str>()
@@ -634,7 +613,7 @@ impl Engine {
                 ))
             });
         match result {
-            Ok(fout) => self.render_fast_ok(out, env.id, req, &fout),
+            Ok(output) => self.render_ok(out, env.id, &req, &output),
             Err(e) => {
                 match e.code {
                     DiagCode::Overloaded => {
@@ -650,75 +629,75 @@ impl Engine {
         }
     }
 
-    /// [`Engine::dispatch`] for borrowed requests: same admission
-    /// charge, same per-op fuel, same op cores — only the result shape
-    /// differs (an [`FastOut`] for the renderer instead of tree fields).
-    fn dispatch_fast(
+    /// Runs one op under its fuel charges, returning its typed output.
+    fn dispatch(
         &self,
         req: &FastRequest<'_>,
         budget: Option<&Fuel>,
-    ) -> Result<FastOut, ProtocolError> {
+    ) -> Result<Output, ProtocolError> {
+        // Every deadlined request pays a flat admission cost, so
+        // deadline_ms:0 answers DSL310 before touching any state.
         charge(budget, OP_BASE_FUEL, "admission")?;
         match *req {
             FastRequest::Open {
                 session,
                 snapshot,
                 resume,
-            } => self
-                .op_open_core(
-                    session.map(str::to_owned),
-                    snapshot.map(str::to_owned),
-                    resume,
-                )
-                .map(FastOut::Open),
+            } => self.op_open(session, snapshot, resume).map(Output::Open),
             FastRequest::Decide {
                 session,
                 name,
                 value,
             } => self
-                .op_decide_core(session, name, &value.to_value())
-                .map(FastOut::Decide),
+                .op_decide(session, name, &value.to_value())
+                .map(Output::Decide),
             FastRequest::Retract { session, name } => {
-                self.op_retract_core(session, name).map(FastOut::Retract)
+                self.op_retract(session, name).map(Output::Retract)
             }
-            FastRequest::Eval { session } => {
-                self.op_eval_core(session, budget).map(FastOut::Eval)
-            }
+            FastRequest::Eval { session } => self.op_eval(session, budget).map(Output::Eval),
             FastRequest::SurvivingCores {
                 session,
                 limit,
                 offset,
             } => {
                 charge(budget, CORE_SCAN_FUEL, "surviving_cores")?;
-                self.op_surviving_cores_core(
+                self.op_surviving_cores(
                     session,
                     limit.unwrap_or(DEFAULT_CORE_LIMIT),
                     offset.unwrap_or(0),
                 )
-                .map(FastOut::Cores)
+                .map(Output::Cores)
             }
             FastRequest::Viable { session, name } => {
                 charge(budget, LOOKAHEAD_FUEL, "viable")?;
-                self.op_viable_core(session, name).map(FastOut::Viable)
+                self.op_viable(session, name).map(Output::Viable)
             }
-            FastRequest::Close { session } => self.op_close_core(session).map(FastOut::Close),
-            FastRequest::Stats => Ok(FastOut::Stats),
+            FastRequest::Report { session } => self.op_report(session).map(Output::Report),
+            FastRequest::Close { session } => self.op_close(session).map(|()| Output::Closed),
+            FastRequest::Stats => Ok(Output::Stats),
+            FastRequest::Invalidate { tool } => {
+                Ok(Output::Invalidated(self.cache.invalidate_tool(tool)))
+            }
+            FastRequest::Shutdown => {
+                self.begin_drain();
+                Ok(Output::Draining)
+            }
         }
     }
 
-    /// Renders a fast-path success response, byte-identical to the
-    /// tree path's `ok_response` + serializer for the same operation.
-    fn render_fast_ok(
+    /// Renders a success response: `{"ok":true,"id":…` and then the
+    /// op's fields.
+    fn render_ok(
         &self,
         out: &mut Vec<u8>,
         id: Option<&str>,
         req: &FastRequest<'_>,
-        fout: &FastOut,
+        output: &Output,
     ) {
         let mut w = Writer::new(out);
         render_ok_prefix(&mut w, id);
-        match (fout, req) {
-            (FastOut::Open(o), _) => {
+        match (output, req) {
+            (Output::Open(o), _) => {
                 w.key("session");
                 w.str_value(&o.session);
                 w.key("snapshot");
@@ -729,14 +708,10 @@ impl Engine {
                 w.bool_value(o.recovered);
                 if !o.diagnostics.is_empty() {
                     w.key("diagnostics");
-                    w.begin_array();
-                    for d in &o.diagnostics {
-                        w.str_value(d);
-                    }
-                    w.end_array();
+                    write_strs(&mut w, &o.diagnostics);
                 }
             }
-            (FastOut::Decide(o), FastRequest::Decide { name, value, .. }) => {
+            (Output::Decide(o), FastRequest::Decide { name, value, .. }) => {
                 w.key("name");
                 w.str_value(name);
                 w.key("value");
@@ -746,26 +721,17 @@ impl Engine {
                 w.key("open_issues");
                 w.int_value(o.open_issues);
             }
-            (FastOut::Retract(o), _) => {
+            (Output::Retract(o), _) => {
                 w.key("undone");
-                w.begin_array();
-                for name in &o.undone {
-                    w.str_value(name);
-                }
-                w.end_array();
+                write_strs(&mut w, &o.undone);
                 w.key("focus");
                 w.str_value(&o.focus);
             }
-            (FastOut::Eval(o), _) => {
+            (Output::Eval(o), _) => {
                 w.key("estimates");
-                w.begin_object();
-                for (name, figure) in &o.estimates {
-                    w.key(name);
-                    write_figure(&mut w, figure);
-                }
-                w.end_object();
+                write_figures(&mut w, &o.estimates);
             }
-            (FastOut::Cores(o), _) => {
+            (Output::Cores(o), _) => {
                 w.key("count");
                 w.int_value(o.count);
                 w.key("offset");
@@ -775,13 +741,9 @@ impl Engine {
                 w.key("truncated");
                 w.bool_value(o.truncated);
                 w.key("cores");
-                w.begin_array();
-                for name in &o.names {
-                    w.str_value(name);
-                }
-                w.end_array();
+                write_strs(&mut w, &o.names);
             }
-            (FastOut::Viable(o), FastRequest::Viable { name, .. }) => {
+            (Output::Viable(o), FastRequest::Viable { name, .. }) => {
                 w.key("name");
                 w.str_value(name);
                 w.key("viable");
@@ -791,19 +753,66 @@ impl Engine {
                     w.str_value(conflict);
                 }
             }
-            (FastOut::Close(session), _) => {
+            (Output::Report(o), FastRequest::Report { session }) => {
+                w.key("session");
+                w.str_value(session);
+                w.key("snapshot");
+                w.str_value(&o.snapshot);
+                w.key("focus");
+                w.str_value(&o.focus);
+                w.key("bindings");
+                w.begin_object();
+                for (name, value) in &o.bindings {
+                    w.key(name);
+                    write_value(&mut w, value);
+                }
+                w.end_object();
+                w.key("decisions");
+                w.begin_array();
+                for d in &o.decisions {
+                    w.begin_object();
+                    w.key("property");
+                    w.str_value(&d.property);
+                    w.key("value");
+                    write_value(&mut w, &d.value);
+                    w.key("stale");
+                    w.bool_value(d.stale);
+                    if let Some(note) = &d.note {
+                        w.key("note");
+                        w.str_value(note);
+                    }
+                    w.end_object();
+                }
+                w.end_array();
+                w.key("open_requirements");
+                write_strs(&mut w, &o.open_requirements);
+                w.key("open_issues");
+                write_strs(&mut w, &o.open_issues);
+                w.key("estimates");
+                write_figures(&mut w, &o.estimates);
+            }
+            (Output::Closed, FastRequest::Close { session }) => {
                 w.key("closed");
                 w.str_value(session);
             }
-            (FastOut::Stats, _) => self.render_stats(&mut w),
-            // dispatch_fast pairs each request with its own output kind.
-            _ => unreachable!("fast output does not match its request"),
+            (Output::Stats, _) => self.render_stats(&mut w),
+            (Output::Invalidated(dropped), FastRequest::Invalidate { tool }) => {
+                w.key("tool");
+                w.str_value(tool);
+                w.key("dropped");
+                w.int_value(*dropped as i64);
+            }
+            (Output::Draining, _) => {
+                w.key("draining");
+                w.bool_value(true);
+            }
+            // dispatch pairs each request with its own output kind.
+            _ => unreachable!("output does not match its request"),
         }
         w.end_object();
     }
 
-    /// The fast `stats` renderer: reads the same counters in the same
-    /// order as [`Engine::op_stats`], writing them without any tree.
+    /// Renders the `stats` fields straight off the engine's counters.
     fn render_stats(&self, w: &mut Writer<'_>) {
         let cache = self.cache.stats();
         w.key("sessions_open");
@@ -871,114 +880,12 @@ impl Engine {
         w.end_array();
     }
 
-    fn handle_parsed(&self, parsed: Result<Request, ProtocolError>, env: &Envelope) -> Json {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let id = &env.id;
-        let req = match parsed {
-            Ok(r) => r,
-            Err(e) => return err_response(id, &e),
-        };
-        // A deadline is a cooperative fuel budget, not a wall clock: the
-        // same request with the same deadline_ms exhausts at the same
-        // point on every run, regardless of machine or thread count.
-        let budget = env
-            .deadline_ms
-            .map(|ms| Fuel::new(ms.saturating_mul(FUEL_PER_MS)));
-        let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(req, budget.as_ref())))
-            .unwrap_or_else(|p| {
-                let what = p
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| p.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic".to_owned());
-                Err(ProtocolError::new(
-                    DiagCode::SessionRejected,
-                    format!("internal error: operation aborted ({what})"),
-                ))
-            });
-        match result {
-            Ok(fields) => ok_response(id, fields),
-            Err(e) => {
-                match e.code {
-                    DiagCode::Overloaded => {
-                        self.overloaded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    DiagCode::DeadlineExceeded => {
-                        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {}
-                }
-                err_response(id, &e)
-            }
-        }
-    }
-
-    fn dispatch(&self, req: Request, budget: Option<&Fuel>) -> OpResult {
-        // Every deadlined request pays a flat admission cost, so
-        // deadline_ms:0 answers DSL310 before touching any state.
-        charge(budget, OP_BASE_FUEL, "admission")?;
-        match req {
-            Request::Open {
-                session,
-                snapshot,
-                resume,
-            } => self.op_open(session, snapshot, resume),
-            Request::Decide {
-                session,
-                name,
-                value,
-            } => self.op_decide(&session, &name, value),
-            Request::Retract { session, name } => self.op_retract(&session, name.as_deref()),
-            Request::Eval { session } => self.op_eval(&session, budget),
-            Request::SurvivingCores {
-                session,
-                limit,
-                offset,
-            } => {
-                charge(budget, CORE_SCAN_FUEL, "surviving_cores")?;
-                self.op_surviving_cores(
-                    &session,
-                    limit.unwrap_or(DEFAULT_CORE_LIMIT),
-                    offset.unwrap_or(0),
-                )
-            }
-            Request::Viable { session, name } => {
-                charge(budget, LOOKAHEAD_FUEL, "viable")?;
-                self.op_viable(&session, &name)
-            }
-            Request::Report { session } => self.op_report(&session),
-            Request::Close { session } => self.op_close(&session),
-            Request::Stats => Ok(self.op_stats()),
-            Request::Invalidate { tool } => Ok(vec![
-                ("tool".to_owned(), Json::Str(tool.clone())),
-                (
-                    "dropped".to_owned(),
-                    Json::Int(self.cache.invalidate_tool(&tool) as i64),
-                ),
-            ]),
-            Request::Shutdown => {
-                self.draining.store(true, Ordering::SeqCst);
-                Ok(vec![("draining".to_owned(), Json::Bool(true))])
-            }
-        }
-    }
-
     // ---- session lifecycle -------------------------------------------------
 
     fn op_open(
         &self,
-        session: Option<String>,
-        snapshot: Option<String>,
-        resume: bool,
-    ) -> OpResult {
-        self.op_open_core(session, snapshot, resume)
-            .map(|o| open_fields(&o))
-    }
-
-    fn op_open_core(
-        &self,
-        session: Option<String>,
-        snapshot: Option<String>,
+        session: Option<&str>,
+        snapshot: Option<&str>,
         resume: bool,
     ) -> Result<OpenOut, ProtocolError> {
         if self.is_draining() {
@@ -989,12 +896,12 @@ impl Engine {
         }
         let id = match session {
             Some(id) => {
-                if !JournalDir::is_valid_id(&id) {
+                if !JournalDir::is_valid_id(id) {
                     return Err(ProtocolError::malformed(format!(
                         "invalid session id {id:?} (want 1-128 chars of [A-Za-z0-9._-], no leading dot)"
                     )));
                 }
-                id
+                id.to_owned()
             }
             None => self.generate_id(),
         };
@@ -1028,7 +935,7 @@ impl Engine {
         }
 
         let (slot, notes) = if resume {
-            let (slot, notes) = self.resume_slot(&id, snapshot.as_deref())?;
+            let (slot, notes) = self.resume_slot(&id, snapshot)?;
             self.recovered.fetch_add(1, Ordering::Relaxed);
             (slot, notes)
         } else {
@@ -1045,24 +952,12 @@ impl Engine {
             let snapshot_name = snapshot.ok_or_else(|| {
                 ProtocolError::malformed("missing required field \"snapshot\"")
             })?;
-            let snap = self.snapshot(&snapshot_name)?;
+            let snap = self.snapshot(snapshot_name)?;
             if let Some(journal) = &self.journal {
                 self.write_meta(journal, &id, &snap.name)?;
             }
             let state = ExplorationSession::new(&snap.space, snap.root).into_snapshot();
-            (
-                SessionSlot {
-                    snapshot: snap,
-                    state,
-                    recovered: false,
-                    notes: Vec::new(),
-                    lookahead: None,
-                    journal_records: 0,
-                    appender: JournalAppender::new(),
-                    last_touch: self.requests.load(Ordering::Relaxed),
-                },
-                Vec::new(),
-            )
+            (self.new_slot(snap, state, false, 0), Vec::new())
         };
 
         let mut sessions = self.sessions.lock().unwrap();
@@ -1078,12 +973,7 @@ impl Engine {
         Ok(out)
     }
 
-    fn op_close(&self, id: &str) -> OpResult {
-        self.op_close_core(id)
-            .map(|closed| vec![("closed".to_owned(), Json::Str(closed))])
-    }
-
-    fn op_close_core(&self, id: &str) -> Result<String, ProtocolError> {
+    fn op_close(&self, id: &str) -> Result<(), ProtocolError> {
         let removed = self.sessions.lock().unwrap().remove(id);
         if removed.is_none() {
             // A TTL-evicted session lives on as journal + meta sidecar;
@@ -1103,22 +993,12 @@ impl Engine {
                 .map_err(|e| journal_fault(id, "remove journal", &e))?;
             let _ = fs::remove_file(meta_path(journal, id));
         }
-        Ok(id.to_owned())
+        Ok(())
     }
 
     // ---- exploration ops ---------------------------------------------------
 
-    fn op_decide(&self, id: &str, name: &str, value: Value) -> OpResult {
-        let out = self.op_decide_core(id, name, &value)?;
-        Ok(vec![
-            ("name".to_owned(), Json::Str(name.to_owned())),
-            ("value".to_owned(), value_to_json(&value)),
-            ("focus".to_owned(), Json::Str(out.focus)),
-            ("open_issues".to_owned(), Json::Int(out.open_issues)),
-        ])
-    }
-
-    fn op_decide_core(
+    fn op_decide(
         &self,
         id: &str,
         name: &str,
@@ -1196,18 +1076,7 @@ impl Engine {
         })
     }
 
-    fn op_retract(&self, id: &str, name: Option<&str>) -> OpResult {
-        let out = self.op_retract_core(id, name)?;
-        Ok(vec![
-            (
-                "undone".to_owned(),
-                Json::Array(out.undone.into_iter().map(Json::Str).collect()),
-            ),
-            ("focus".to_owned(), Json::Str(out.focus)),
-        ])
-    }
-
-    fn op_retract_core(
+    fn op_retract(
         &self,
         id: &str,
         name: Option<&str>,
@@ -1282,20 +1151,7 @@ impl Engine {
         })
     }
 
-    fn op_eval(&self, id: &str, budget: Option<&Fuel>) -> OpResult {
-        let out = self.op_eval_core(id, budget)?;
-        Ok(vec![(
-            "estimates".to_owned(),
-            Json::Object(
-                out.estimates
-                    .into_iter()
-                    .map(|(name, figure)| (name, figure_fields(&figure)))
-                    .collect(),
-            ),
-        )])
-    }
-
-    fn op_eval_core(&self, id: &str, budget: Option<&Fuel>) -> Result<EvalOut, ProtocolError> {
+    fn op_eval(&self, id: &str, budget: Option<&Fuel>) -> Result<EvalOut, ProtocolError> {
         self.with_slot(id, |slot| {
             let mut session =
                 ExplorationSession::resume(&slot.snapshot.space, slot.state.clone());
@@ -1318,12 +1174,7 @@ impl Engine {
                     }
                 }
             }
-            let mut estimates: Vec<(String, FigureOut)> = session
-                .estimates()
-                .iter()
-                .map(|(name, figure)| (name.as_str().to_owned(), figure_out(figure)))
-                .collect();
-            estimates.sort_by(|a, b| a.0.cmp(&b.0));
+            let estimates = sorted_figures(&session);
             // The clone on entry keeps the deadline path all-or-nothing;
             // the commit is a move.
             slot.state = session.into_snapshot();
@@ -1331,21 +1182,7 @@ impl Engine {
         })
     }
 
-    fn op_surviving_cores(&self, id: &str, limit: usize, offset: usize) -> OpResult {
-        let out = self.op_surviving_cores_core(id, limit, offset)?;
-        Ok(vec![
-            ("count".to_owned(), Json::Int(out.count)),
-            ("offset".to_owned(), Json::Int(out.offset)),
-            ("returned".to_owned(), Json::Int(out.names.len() as i64)),
-            ("truncated".to_owned(), Json::Bool(out.truncated)),
-            (
-                "cores".to_owned(),
-                Json::Array(out.names.into_iter().map(Json::Str).collect()),
-            ),
-        ])
-    }
-
-    fn op_surviving_cores_core(
+    fn op_surviving_cores(
         &self,
         id: &str,
         limit: usize,
@@ -1395,19 +1232,7 @@ impl Engine {
         })
     }
 
-    fn op_viable(&self, id: &str, name: &str) -> OpResult {
-        let out = self.op_viable_core(id, name)?;
-        let mut fields = vec![
-            ("name".to_owned(), Json::Str(name.to_owned())),
-            ("viable".to_owned(), viability_to_json(&out.viable)),
-        ];
-        if let Some(conflict) = out.conflict {
-            fields.push(("conflict".to_owned(), Json::Str(conflict)));
-        }
-        Ok(fields)
-    }
-
-    fn op_viable_core(&self, id: &str, name: &str) -> Result<ViableOut, ProtocolError> {
+    fn op_viable(&self, id: &str, name: &str) -> Result<ViableOut, ProtocolError> {
         self.with_slot(id, |slot| {
             let session = ExplorationSession::resume(&slot.snapshot.space, slot.state.clone());
             let rebuild = match &slot.lookahead {
@@ -1429,172 +1254,29 @@ impl Engine {
         })
     }
 
-    fn op_report(&self, id: &str) -> OpResult {
+    fn op_report(&self, id: &str) -> Result<ReportOut, ProtocolError> {
         self.with_slot(id, |slot| {
-            let session =
-                ExplorationSession::resume(&slot.snapshot.space, slot.state.clone());
-            let space = session.space();
-
+            let session = ExplorationSession::resume(&slot.snapshot.space, slot.state.clone());
             // Bindings and estimates are keyed by interned symbol, whose
             // order is intern order — sort by name so reports are stable
             // across process histories.
-            let mut bindings: Vec<(String, Json)> = session
+            let mut bindings: Vec<(String, Value)> = session
                 .bindings()
                 .iter()
-                .map(|(name, value)| (name.as_str().to_owned(), value_to_json(value)))
+                .map(|(name, value)| (name.as_str().to_owned(), value.clone()))
                 .collect();
             bindings.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut estimates: Vec<(String, Json)> = session
-                .estimates()
-                .iter()
-                .map(|(name, figure)| (name.as_str().to_owned(), figure_to_json(figure)))
-                .collect();
-            estimates.sort_by(|a, b| a.0.cmp(&b.0));
-
-            let decisions: Vec<Json> = session
-                .log()
-                .iter()
-                .map(|d| {
-                    let mut obj = vec![
-                        ("property".to_owned(), Json::Str(d.property.clone())),
-                        ("value".to_owned(), value_to_json(&d.value)),
-                        ("stale".to_owned(), Json::Bool(d.stale)),
-                    ];
-                    if let Some(note) = &d.note {
-                        obj.push(("note".to_owned(), Json::Str(note.clone())));
-                    }
-                    Json::Object(obj)
-                })
-                .collect();
-            let names = |props: Vec<&Property>| {
-                Json::Array(
-                    props
-                        .iter()
-                        .map(|p| Json::Str(p.name().to_owned()))
-                        .collect(),
-                )
-            };
-            Ok(vec![
-                ("session".to_owned(), Json::Str(id.to_owned())),
-                (
-                    "snapshot".to_owned(),
-                    Json::Str(slot.snapshot.name.clone()),
-                ),
-                (
-                    "focus".to_owned(),
-                    Json::Str(space.path_string(session.focus())),
-                ),
-                ("bindings".to_owned(), Json::Object(bindings)),
-                ("decisions".to_owned(), Json::Array(decisions)),
-                (
-                    "open_requirements".to_owned(),
-                    names(session.open_requirements()),
-                ),
-                ("open_issues".to_owned(), names(session.open_issues())),
-                ("estimates".to_owned(), Json::Object(estimates)),
-            ])
+            let names = |props: Vec<&Property>| props.iter().map(|p| p.name().to_owned()).collect();
+            Ok(ReportOut {
+                snapshot: slot.snapshot.name.clone(),
+                focus: session.space().path_string(session.focus()),
+                bindings,
+                decisions: session.log().to_vec(),
+                open_requirements: names(session.open_requirements()),
+                open_issues: names(session.open_issues()),
+                estimates: sorted_figures(&session),
+            })
         })
-    }
-
-    fn op_stats(&self) -> Vec<(String, Json)> {
-        let cache = self.cache.stats();
-        vec![
-            (
-                "sessions_open".to_owned(),
-                Json::Int(self.open_sessions() as i64),
-            ),
-            (
-                "sessions_opened".to_owned(),
-                Json::Int(self.opened.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "sessions_recovered".to_owned(),
-                Json::Int(self.recovered.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "requests".to_owned(),
-                Json::Int(self.requests.load(Ordering::Relaxed) as i64),
-            ),
-            ("draining".to_owned(), Json::Bool(self.is_draining())),
-            (
-                "snapshots".to_owned(),
-                Json::Array(
-                    self.snapshots
-                        .keys()
-                        .map(|k| Json::Str(k.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "cache".to_owned(),
-                Json::Object(vec![
-                    ("entries".to_owned(), Json::Int(self.cache.len() as i64)),
-                    ("hits".to_owned(), Json::Int(cache.hits as i64)),
-                    ("misses".to_owned(), Json::Int(cache.misses as i64)),
-                    ("stores".to_owned(), Json::Int(cache.stores as i64)),
-                    (
-                        "invalidated".to_owned(),
-                        Json::Int(cache.invalidated as i64),
-                    ),
-                ]),
-            ),
-            (
-                "guard".to_owned(),
-                Json::Object(vec![
-                    (
-                        "overloaded".to_owned(),
-                        Json::Int(self.overloaded.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "deadline_exceeded".to_owned(),
-                        Json::Int(self.deadline_exceeded.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "sessions_evicted".to_owned(),
-                        Json::Int(self.evicted.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "journal_compactions".to_owned(),
-                        Json::Int(self.compactions.load(Ordering::Relaxed) as i64),
-                    ),
-                ]),
-            ),
-            (
-                "breakers".to_owned(),
-                Json::Array(
-                    self.supervisor
-                        .lock()
-                        .unwrap()
-                        .breaker_snapshot()
-                        .into_iter()
-                        .map(|b| {
-                            Json::Object(vec![
-                                ("tool".to_owned(), Json::Str(b.tool)),
-                                ("phase".to_owned(), Json::Str(b.phase.to_owned())),
-                                ("trips".to_owned(), Json::Int(b.trips as i64)),
-                                (
-                                    "short_circuits".to_owned(),
-                                    Json::Int(b.short_circuits as i64),
-                                ),
-                                (
-                                    "calls_until_probe".to_owned(),
-                                    Json::Int(b.calls_until_probe as i64),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "boot_warnings".to_owned(),
-                Json::Array(
-                    self.boot_warnings
-                        .iter()
-                        .map(|w| Json::Str(w.clone()))
-                        .collect(),
-                ),
-            ),
-        ]
     }
 
     // ---- plumbing ----------------------------------------------------------
@@ -1609,6 +1291,27 @@ impl Engine {
                 ),
             )
         })
+    }
+
+    /// A slot holding `state`, touched now, with no notes, lookahead or
+    /// open journal handle yet.
+    fn new_slot(
+        &self,
+        snapshot: Arc<Snapshot>,
+        state: SessionSnapshot,
+        recovered: bool,
+        journal_records: usize,
+    ) -> SessionSlot {
+        SessionSlot {
+            snapshot,
+            state,
+            recovered,
+            notes: Vec::new(),
+            lookahead: None,
+            journal_records,
+            appender: JournalAppender::new(),
+            last_touch: self.requests.load(Ordering::Relaxed),
+        }
     }
 
     fn get_slot(&self, id: &str) -> Option<Arc<Mutex<SessionSlot>>> {
@@ -1675,19 +1378,7 @@ impl Engine {
         let meta = read_meta(journal, id).ok_or_else(|| unknown_session(id))?;
         let snap = self.snapshot(requested_snapshot.unwrap_or(&meta))?;
         let state = ExplorationSession::new(&snap.space, snap.root).snapshot();
-        Ok((
-            SessionSlot {
-                snapshot: snap,
-                state,
-                recovered: true,
-                notes: Vec::new(),
-                lookahead: None,
-                journal_records: 0,
-                appender: JournalAppender::new(),
-                last_touch: self.requests.load(Ordering::Relaxed),
-            },
-            Vec::new(),
-        ))
+        Ok((self.new_slot(snap, state, true, 0), Vec::new()))
     }
 
     /// Sweeps journaled sessions idle past the TTL (measured on the
@@ -1874,19 +1565,8 @@ impl Engine {
             self.write_meta(journal, id, &snap.name)?;
             notes.push(format!("restored snapshot metadata for {id:?}"));
         }
-        Ok((
-            SessionSlot {
-                state: session.snapshot(),
-                snapshot: snap,
-                recovered: true,
-                notes: Vec::new(),
-                lookahead: None,
-                journal_records: loaded.len(),
-                appender: JournalAppender::new(),
-                last_touch: self.requests.load(Ordering::Relaxed),
-            },
-            notes,
-        ))
+        let state = session.snapshot();
+        Ok((self.new_slot(snap, state, true, loaded.len()), notes))
     }
 
     /// The boot sweep: every journal in the directory becomes an open
@@ -1930,22 +1610,6 @@ impl Engine {
     }
 }
 
-fn session_of(req: &Request) -> Option<&str> {
-    match req {
-        Request::Open {
-            session: Some(s), ..
-        } => Some(s),
-        Request::Decide { session, .. }
-        | Request::Retract { session, .. }
-        | Request::Eval { session }
-        | Request::SurvivingCores { session, .. }
-        | Request::Viable { session, .. }
-        | Request::Report { session }
-        | Request::Close { session } => Some(session),
-        _ => None,
-    }
-}
-
 fn open_out(id: &str, slot: &SessionSlot, notes: Vec<String>) -> OpenOut {
     let session = ExplorationSession::resume(&slot.snapshot.space, slot.state.clone());
     OpenOut {
@@ -1957,49 +1621,16 @@ fn open_out(id: &str, slot: &SessionSlot, notes: Vec<String>) -> OpenOut {
     }
 }
 
-fn open_fields(o: &OpenOut) -> Vec<(String, Json)> {
-    let mut fields = vec![
-        ("session".to_owned(), Json::Str(o.session.clone())),
-        ("snapshot".to_owned(), Json::Str(o.snapshot.clone())),
-        ("focus".to_owned(), Json::Str(o.focus.clone())),
-        ("recovered".to_owned(), Json::Bool(o.recovered)),
-    ];
-    if !o.diagnostics.is_empty() {
-        fields.push((
-            "diagnostics".to_owned(),
-            Json::Array(o.diagnostics.iter().cloned().map(Json::Str).collect()),
-        ));
-    }
-    fields
-}
-
-fn viability_to_json(v: &Viability) -> Json {
-    let kind = |k: &str| ("kind".to_owned(), Json::Str(k.to_owned()));
-    match v {
-        Viability::Values(vs) => Json::Object(vec![
-            kind("values"),
-            (
-                "options".to_owned(),
-                Json::Array(vs.iter().map(value_to_json).collect()),
-            ),
-        ]),
-        Viability::IntRange(lo, hi) => Json::Object(vec![
-            kind("int_range"),
-            ("lo".to_owned(), Json::Int(*lo)),
-            ("hi".to_owned(), Json::Int(*hi)),
-        ]),
-        Viability::RealRange(lo, hi) => Json::Object(vec![
-            kind("real_range"),
-            ("lo".to_owned(), Json::Float(*lo)),
-            ("hi".to_owned(), Json::Float(*hi)),
-        ]),
-        Viability::Open => Json::Object(vec![kind("open")]),
-        Viability::Empty => Json::Object(vec![kind("empty")]),
-    }
-}
-
-fn figure_to_json(figure: &Figure) -> Json {
-    figure_fields(&figure_out(figure))
+/// A session's estimates as name-sorted figures (estimates are keyed by
+/// interned symbol, whose order is intern order).
+fn sorted_figures(session: &ExplorationSession<'_>) -> Vec<(String, FigureOut)> {
+    let mut figures: Vec<(String, FigureOut)> = session
+        .estimates()
+        .iter()
+        .map(|(name, figure)| (name.as_str().to_owned(), figure_out(figure)))
+        .collect();
+    figures.sort_by(|a, b| a.0.cmp(&b.0));
+    figures
 }
 
 fn figure_out(figure: &Figure) -> FigureOut {
@@ -2010,25 +1641,17 @@ fn figure_out(figure: &Figure) -> FigureOut {
     }
 }
 
-fn figure_fields(figure: &FigureOut) -> Json {
-    Json::Object(vec![
-        (
-            "value".to_owned(),
-            match figure.value {
-                Some(v) => Json::Float(v),
-                None => Json::Null,
-            },
-        ),
-        (
-            "provenance".to_owned(),
-            Json::Str(figure.provenance.to_owned()),
-        ),
-        ("source".to_owned(), Json::Str(figure.source.clone())),
-    ])
+/// Renders name-sorted figures as one object:
+/// `{"<name>":{"value":…,"provenance":…,"source":…},…}`.
+fn write_figures(w: &mut Writer<'_>, figures: &[(String, FigureOut)]) {
+    w.begin_object();
+    for (name, figure) in figures {
+        w.key(name);
+        write_figure(w, figure);
+    }
+    w.end_object();
 }
 
-/// Renders a figure through the writer, byte-identical to
-/// [`figure_fields`] + the tree serializer.
 fn write_figure(w: &mut Writer<'_>, figure: &FigureOut) {
     w.begin_object();
     w.key("value");
@@ -2043,8 +1666,30 @@ fn write_figure(w: &mut Writer<'_>, figure: &FigureOut) {
     w.end_object();
 }
 
-/// Renders a viability verdict through the writer, byte-identical to
-/// [`viability_to_json`] + the tree serializer.
+fn write_strs(w: &mut Writer<'_>, strs: &[String]) {
+    w.begin_array();
+    for s in strs {
+        w.str_value(s);
+    }
+    w.end_array();
+}
+
+/// Renders a value in the friendly scalar wire form (`768`, `2.5`,
+/// `"Hardware"`, `true`).
+fn write_value(w: &mut Writer<'_>, value: &Value) {
+    match value {
+        Value::Int(i) => w.int_value(*i),
+        Value::Real(r) => w.float_value(*r),
+        Value::Text(s) => w.str_value(s),
+        Value::Flag(b) => w.bool_value(*b),
+        // `Value` is non_exhaustive: fall back to the display form.
+        #[allow(unreachable_patterns)]
+        other => w.str_value(&other.to_string()),
+    }
+}
+
+/// Renders a viability verdict:
+/// `{"kind":"values","options":[…]}`, `{"kind":"int_range","lo":…,"hi":…}`, ….
 fn write_viability(w: &mut Writer<'_>, v: &Viability) {
     w.begin_object();
     w.key("kind");
@@ -2054,15 +1699,7 @@ fn write_viability(w: &mut Writer<'_>, v: &Viability) {
             w.key("options");
             w.begin_array();
             for value in vs {
-                match value {
-                    Value::Int(i) => w.int_value(*i),
-                    Value::Real(r) => w.float_value(*r),
-                    Value::Text(s) => w.str_value(s),
-                    Value::Flag(b) => w.bool_value(*b),
-                    // Mirror `value_to_json`'s display fallback.
-                    #[allow(unreachable_patterns)]
-                    other => w.str_value(&other.to_string()),
-                }
+                write_value(w, value);
             }
             w.end_array();
         }

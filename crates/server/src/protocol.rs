@@ -14,7 +14,7 @@
 
 use dse::diag::DiagCode;
 use dse::value::Value;
-use foundation::json::{Json, Number, Reader, Writer};
+use foundation::json::{self, Json, Number, Reader, Writer};
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,6 +95,65 @@ pub enum Request {
     /// Begin graceful drain: refuse new work, finish in-flight
     /// requests, stop.
     Shutdown,
+}
+
+impl Request {
+    /// Borrows the request as the [`FastRequest`] the engine dispatches
+    /// on, so lines only the tree decoder accepts (escapes, tagged
+    /// values, cold ops) share the one dispatch and renderer.
+    ///
+    /// # Errors
+    ///
+    /// A `decide` value with no scalar wire form; the decoder builds
+    /// only scalar values, so this is a `DSL301` that cannot occur
+    /// today.
+    pub fn as_fast(&self) -> Result<FastRequest<'_>, ProtocolError> {
+        Ok(match self {
+            Request::Open {
+                session,
+                snapshot,
+                resume,
+            } => FastRequest::Open {
+                session: session.as_deref(),
+                snapshot: snapshot.as_deref(),
+                resume: *resume,
+            },
+            Request::Decide {
+                session,
+                name,
+                value,
+            } => FastRequest::Decide {
+                session,
+                name,
+                value: ValueRef::of(value).ok_or_else(|| {
+                    ProtocolError::malformed(format!(
+                        "field \"value\" has no wire form for {}",
+                        value.type_name()
+                    ))
+                })?,
+            },
+            Request::Retract { session, name } => FastRequest::Retract {
+                session,
+                name: name.as_deref(),
+            },
+            Request::Eval { session } => FastRequest::Eval { session },
+            Request::SurvivingCores {
+                session,
+                limit,
+                offset,
+            } => FastRequest::SurvivingCores {
+                session,
+                limit: *limit,
+                offset: *offset,
+            },
+            Request::Viable { session, name } => FastRequest::Viable { session, name },
+            Request::Report { session } => FastRequest::Report { session },
+            Request::Close { session } => FastRequest::Close { session },
+            Request::Stats => FastRequest::Stats,
+            Request::Invalidate { tool } => FastRequest::Invalidate { tool },
+            Request::Shutdown => FastRequest::Shutdown,
+        })
+    }
 }
 
 /// A protocol-level failure: a stable code plus a message.
@@ -220,19 +279,6 @@ pub fn value_from_json(j: &Json) -> Result<Value, ProtocolError> {
     }
 }
 
-/// Renders a [`Value`] in the friendly scalar wire form.
-pub fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Int(i) => Json::Int(*i),
-        Value::Real(r) => Json::Float(*r),
-        Value::Text(s) => Json::Str(s.clone()),
-        Value::Flag(b) => Json::Bool(*b),
-        // `Value` is non_exhaustive-proof: fall back to the display form.
-        #[allow(unreachable_patterns)]
-        other => Json::Str(other.to_string()),
-    }
-}
-
 /// Parses one request line. Returns the request plus its [`Envelope`];
 /// the envelope's id comes back even on a parse error so the client
 /// can still match the failure (when the line parsed as JSON at all).
@@ -322,34 +368,6 @@ fn parse_request_json(json: &Json) -> Result<Request, ProtocolError> {
     }
 }
 
-/// Builds a success response: `{"ok":true, ...fields}` (plus the echoed
-/// `id`).
-pub fn ok_response(id: &RequestId, fields: Vec<(String, Json)>) -> Json {
-    let mut obj = vec![("ok".to_owned(), Json::Bool(true))];
-    if let Some(id) = id {
-        obj.push(("id".to_owned(), id.clone()));
-    }
-    obj.extend(fields);
-    Json::Object(obj)
-}
-
-/// Builds a failure response:
-/// `{"ok":false,"code":"DSLnnn","error":"..."}` (plus the echoed `id`).
-pub fn err_response(id: &RequestId, err: &ProtocolError) -> Json {
-    let mut obj = vec![
-        ("ok".to_owned(), Json::Bool(false)),
-        ("code".to_owned(), Json::Str(err.code.as_str().to_owned())),
-        ("error".to_owned(), Json::Str(err.message.clone())),
-    ];
-    if let Some(ms) = err.retry_after_ms {
-        obj.push(("retry_after_ms".to_owned(), Json::Int(ms as i64)));
-    }
-    if let Some(id) = id {
-        obj.insert(1, ("id".to_owned(), id.clone()));
-    }
-    Json::Object(obj)
-}
-
 /// A request value borrowed straight from the wire line — the zero-copy
 /// sibling of [`Value`] for the hot-path decoder. Only scalar forms are
 /// representable; tagged values force the tree fallback.
@@ -365,7 +383,19 @@ pub enum ValueRef<'a> {
     Flag(bool),
 }
 
-impl ValueRef<'_> {
+impl<'a> ValueRef<'a> {
+    /// Borrows an owned scalar; `None` for a value with no scalar form.
+    pub(crate) fn of(value: &'a Value) -> Option<ValueRef<'a>> {
+        match value {
+            Value::Int(i) => Some(ValueRef::Int(*i)),
+            Value::Real(r) => Some(ValueRef::Real(*r)),
+            Value::Text(s) => Some(ValueRef::Text(s)),
+            Value::Flag(b) => Some(ValueRef::Flag(*b)),
+            #[allow(unreachable_patterns)]
+            _ => None,
+        }
+    }
+
     /// Converts to the owned [`Value`] the engine stores.
     pub fn to_value(self) -> Value {
         match self {
@@ -376,8 +406,8 @@ impl ValueRef<'_> {
         }
     }
 
-    /// Renders the scalar exactly as [`value_to_json`] + the tree
-    /// serializer would.
+    /// Renders the scalar in the friendly wire form (`768`, `2.5`,
+    /// `"Hardware"`, `true`).
     pub fn write(self, w: &mut Writer<'_>) {
         match self {
             ValueRef::Int(i) => w.int_value(i),
@@ -400,9 +430,11 @@ pub struct FastEnvelope<'a> {
     pub deadline_ms: Option<u64>,
 }
 
-/// A hot-path request decoded without building a `Json` tree; every
-/// string field borrows from the request line. Ops outside the hot set
-/// (`report`, `invalidate`, `shutdown`) take the tree path.
+/// The request the engine dispatches on; every string field is
+/// borrowed. [`parse_request_fast`] builds it straight from the line for
+/// the hot ops; [`Request::as_fast`] builds it from a tree-decoded
+/// request for everything else (`report`, `invalidate`, `shutdown`,
+/// escaped strings, tagged values, exotic ids).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FastRequest<'a> {
     /// `open` (hot so pipelined open→work→close batches stay on the
@@ -452,6 +484,11 @@ pub enum FastRequest<'a> {
         /// The property to probe.
         name: &'a str,
     },
+    /// `report`.
+    Report {
+        /// The session.
+        session: &'a str,
+    },
     /// `close`.
     Close {
         /// The session.
@@ -459,28 +496,85 @@ pub enum FastRequest<'a> {
     },
     /// `stats`.
     Stats,
+    /// `invalidate`.
+    Invalidate {
+        /// The estimator tool name.
+        tool: &'a str,
+    },
+    /// `shutdown`.
+    Shutdown,
 }
 
-impl FastRequest<'_> {
-    /// The session a request targets, for batch grouping — mirrors the
-    /// engine's grouping of tree-parsed requests.
-    pub fn session(&self) -> Option<&str> {
-        match self {
-            FastRequest::Open { session, .. } => session.as_deref(),
+impl<'a> FastRequest<'a> {
+    /// The session a request targets, for batch grouping.
+    pub fn session(&self) -> Option<&'a str> {
+        match *self {
+            FastRequest::Open { session, .. } => session,
             FastRequest::Decide { session, .. }
             | FastRequest::Retract { session, .. }
             | FastRequest::Eval { session }
             | FastRequest::SurvivingCores { session, .. }
             | FastRequest::Viable { session, .. }
+            | FastRequest::Report { session }
             | FastRequest::Close { session } => Some(session),
-            FastRequest::Stats => None,
+            FastRequest::Stats | FastRequest::Invalidate { .. } | FastRequest::Shutdown => None,
+        }
+    }
+}
+
+/// One request line, decoded once: borrowed from the line when
+/// [`parse_request_fast`] accepts it, otherwise owned by
+/// [`parse_request`], which also owns every error message.
+#[derive(Debug)]
+pub(crate) enum Decoded<'a> {
+    Fast(FastRequest<'a>, FastEnvelope<'a>),
+    Tree {
+        request: Result<Request, ProtocolError>,
+        /// The id, encoded once into the raw form the renderer splices.
+        id: Option<String>,
+        deadline_ms: Option<u64>,
+    },
+}
+
+impl<'a> Decoded<'a> {
+    pub(crate) fn new(line: &'a str) -> Decoded<'a> {
+        match parse_request_fast(line) {
+            Some((req, env)) => Decoded::Fast(req, env),
+            None => {
+                let (request, env) = parse_request(line);
+                Decoded::Tree {
+                    request,
+                    id: env.id.as_ref().map(json::encode),
+                    deadline_ms: env.deadline_ms,
+                }
+            }
+        }
+    }
+
+    /// The request to dispatch, or the decode error to answer.
+    pub(crate) fn request(&self) -> Result<FastRequest<'_>, ProtocolError> {
+        match self {
+            Decoded::Fast(req, _) => Ok(*req),
+            Decoded::Tree { request, .. } => request.as_ref().map_err(Clone::clone)?.as_fast(),
+        }
+    }
+
+    pub(crate) fn envelope(&self) -> FastEnvelope<'_> {
+        match self {
+            Decoded::Fast(_, env) => *env,
+            Decoded::Tree {
+                id, deadline_ms, ..
+            } => FastEnvelope {
+                id: id.as_deref(),
+                deadline_ms: *deadline_ms,
+            },
         }
     }
 }
 
 /// Accumulates fields during the single left-to-right scan. `*_seen`
 /// flags implement first-occurrence-wins for duplicate keys, matching
-/// `Json::get` on the tree path.
+/// `Json::get` in the tree decoder.
 #[derive(Default)]
 struct FastFields<'a> {
     op: Option<&'a str>,
@@ -539,7 +633,7 @@ fn fast_opt_usize(r: &mut Reader<'_>) -> Option<Option<usize>> {
 }
 
 /// Captures the raw id token when echoing it verbatim is guaranteed to
-/// match the tree path's decode-then-re-encode: escape-free strings,
+/// match the tree decoder's id re-encoded: escape-free strings,
 /// canonical integers, booleans, and `null`. Anything else (floats,
 /// escaped strings, arrays) forces the tree fallback.
 fn fast_raw_id<'a>(r: &mut Reader<'a>, line: &'a str) -> Option<&'a str> {
@@ -570,8 +664,8 @@ fn fast_raw_id<'a>(r: &mut Reader<'a>, line: &'a str) -> Option<&'a str> {
 /// Decodes a hot-path request by borrowing from the line — no `Json`
 /// tree, no owned strings. Returns `None` on *any* anomaly (non-hot op,
 /// escaped strings, tagged values, wrong types, malformed JSON, missing
-/// required fields) so the caller falls back to [`parse_request`] and
-/// the tree path produces its byte-identical response or error.
+/// required fields) so the caller falls back to [`parse_request`],
+/// which decodes the line or words its error.
 pub fn parse_request_fast(line: &str) -> Option<(FastRequest<'_>, FastEnvelope<'_>)> {
     let mut r = Reader::new(line.as_bytes());
     r.skip_ws();
@@ -655,8 +749,10 @@ pub fn parse_request_fast(line: &str) -> Option<(FastRequest<'_>, FastEnvelope<'
                 };
             }
             // Duplicate occurrences and unknown keys: validate and skip.
+            // Field values sit one level below the request object, so
+            // the depth cap binds exactly where the tree decoder's does.
             _ => {
-                r.skip_value(0).ok()?;
+                r.skip_value(1).ok()?;
             }
         }
     }
@@ -716,8 +812,9 @@ pub fn render_ok_prefix(w: &mut Writer<'_>, id: Option<&str>) {
     }
 }
 
-/// Renders a complete failure response, byte-identical to
-/// [`err_response`] + the tree serializer.
+/// Renders a complete failure response:
+/// `{"ok":false,"id":…,"code":"DSLnnn","error":"…"}`, plus
+/// `retry_after_ms` when the error carries a backoff hint.
 pub fn render_err_into(out: &mut Vec<u8>, id: Option<&str>, err: &ProtocolError) {
     let mut w = Writer::new(out);
     w.begin_object();
@@ -812,10 +909,17 @@ mod tests {
         assert_eq!(req.unwrap_err().code, DiagCode::MalformedRequest);
     }
 
+    /// Renders a failure response and parses it back.
+    fn rendered_err(id: Option<&str>, err: &ProtocolError) -> Json {
+        let mut out = Vec::new();
+        render_err_into(&mut out, id, err);
+        Json::parse(std::str::from_utf8(&out).unwrap()).unwrap()
+    }
+
     #[test]
     fn overload_errors_carry_the_retry_hint() {
         let err = ProtocolError::overloaded("connection cap reached", 200);
-        let rendered = err_response(&Some(Json::Int(9)), &err);
+        let rendered = rendered_err(Some("9"), &err);
         assert_eq!(rendered.get("code").and_then(Json::as_str), Some("DSL309"));
         assert_eq!(
             rendered.get("retry_after_ms").and_then(Json::as_i64),
@@ -823,20 +927,44 @@ mod tests {
         );
         assert_eq!(rendered.get("id").and_then(Json::as_i64), Some(9));
         // Other errors do not grow the field.
-        let plain = err_response(&None, &ProtocolError::deadline("budget ran out"));
+        let plain = rendered_err(None, &ProtocolError::deadline("budget ran out"));
         assert_eq!(plain.get("code").and_then(Json::as_str), Some("DSL310"));
         assert_eq!(plain.get("retry_after_ms"), None);
     }
 
     #[test]
     fn responses_echo_the_id() {
-        let id = Some(Json::Str("req-1".into()));
-        let ok = ok_response(&id, vec![("x".into(), Json::Int(1))]);
-        assert_eq!(ok.get("id").and_then(Json::as_str), Some("req-1"));
-        assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
-        let err = err_response(&id, &ProtocolError::malformed("bad"));
+        let mut out = Vec::new();
+        let mut w = Writer::new(&mut out);
+        render_ok_prefix(&mut w, Some("\"req-1\""));
+        w.key("x");
+        w.int_value(1);
+        w.end_object();
+        assert_eq!(out, br#"{"ok":true,"id":"req-1","x":1}"#);
+        let err = rendered_err(Some("\"req-1\""), &ProtocolError::malformed("bad"));
         assert_eq!(err.get("code").and_then(Json::as_str), Some("DSL301"));
         assert_eq!(err.get("id").and_then(Json::as_str), Some("req-1"));
+    }
+
+    #[test]
+    fn tree_decoded_requests_borrow_into_the_dispatch_form() {
+        let (req, env) = parse_request(
+            r#"{"op":"decide","session":"s\u0031","name":"A","value":{"Text":"x"},"id":1.5}"#,
+        );
+        let req = req.unwrap();
+        assert_eq!(
+            req.as_fast().unwrap(),
+            FastRequest::Decide {
+                session: "s1",
+                name: "A",
+                value: ValueRef::Text("x"),
+            }
+        );
+        assert_eq!(env.id, Some(Json::Float(1.5)));
+        let (req, _) = parse_request(r#"{"op":"report","session":"s"}"#);
+        let req = req.unwrap();
+        assert_eq!(req.as_fast().unwrap(), FastRequest::Report { session: "s" });
+        assert_eq!(req.as_fast().unwrap().session(), Some("s"));
     }
 
     #[test]
@@ -917,18 +1045,20 @@ mod tests {
     }
 
     #[test]
-    fn fast_error_rendering_matches_the_tree_serializer() {
-        let err = ProtocolError::overloaded("connection cap reached", 200);
-        let tree = foundation::json::encode(&err_response(&Some(Json::Int(9)), &err));
-        let mut out = Vec::new();
-        render_err_into(&mut out, Some("9"), &err);
-        assert_eq!(String::from_utf8(out).unwrap(), tree);
-
-        let err = ProtocolError::malformed("bad");
-        let tree = foundation::json::encode(&err_response(&Some(Json::Str("r".into())), &err));
-        let mut out = Vec::new();
-        render_err_into(&mut out, Some("\"r\""), &err);
-        assert_eq!(String::from_utf8(out).unwrap(), tree);
+    fn error_rendering_is_the_canonical_encoding() {
+        for (id, err) in [
+            (
+                Some("9"),
+                ProtocolError::overloaded("connection cap reached", 200),
+            ),
+            (Some("\"r\""), ProtocolError::malformed("bad \"quote\"\n")),
+            (None, ProtocolError::deadline("budget ran out")),
+        ] {
+            let mut out = Vec::new();
+            render_err_into(&mut out, id, &err);
+            let text = String::from_utf8(out).unwrap();
+            assert_eq!(json::encode(&Json::parse(&text).unwrap()), text);
+        }
     }
 
     #[test]
@@ -939,7 +1069,9 @@ mod tests {
             Value::Text("x".into()),
             Value::Flag(true),
         ] {
-            let j = value_to_json(&v);
+            let mut out = Vec::new();
+            ValueRef::of(&v).unwrap().write(&mut Writer::new(&mut out));
+            let j = Json::parse(std::str::from_utf8(&out).unwrap()).unwrap();
             assert_eq!(value_from_json(&j).unwrap(), v);
         }
     }

@@ -12,6 +12,14 @@ echo "==> cargo build --release --offline (workspace + examples)"
 cargo build --release --offline --examples
 cargo build --release --offline
 
+echo "==> engine-switch gate: no DSE_*_ENGINE selector in code, examples or tests"
+# Oracles are selected in code (analyze_with_engine, Explorer::set_engine),
+# never by environment; release code reads no engine switch.
+if grep -rnE 'DSE_(WIRE|EXPLORER|ANALYZE)_ENGINE' crates src examples tests; then
+    echo "    an engine env switch is back; select oracles explicitly instead"
+    exit 1
+fi
+
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
@@ -68,12 +76,6 @@ if [ "$SOLVE_ELAPSED" -gt 90 ]; then
 fi
 echo "    synthetic space diagnosed in ${SOLVE_ELAPSED}s"
 
-echo "==> explorer store gate: differential property suite under both engines"
-for engine in scan columnar; do
-    echo "    DSE_EXPLORER_ENGINE=$engine"
-    DSE_EXPLORER_ENGINE=$engine cargo test -q --offline --test explorer_store > /dev/null
-done
-
 echo "==> core-store scale gate: 1M-core generator build + query (budget 120s)"
 SCALE_START=$(date +%s)
 cargo run --release --offline --example store_scale -- --cores 1000000 > /dev/null
@@ -84,20 +86,18 @@ if [ "$SCALE_ELAPSED" -gt 120 ]; then
 fi
 echo "    1M-core store built and queried in ${SCALE_ELAPSED}s"
 
-echo "==> wire gate: counting allocator, codec parity, both wire engines"
+echo "==> wire gate: counting allocator, decoder parity, golden transcripts"
 # The zero-copy wire path must stay allocation-free in steady state at
 # any pool size (the metered regions never cross the pool, so the
-# counts must hold at DSE_THREADS=1 and =8), and the borrowed
-# reader/writer must stay byte-identical to the tree-codec oracle on
-# golden and fuzzed streams.
+# counts must hold at DSE_THREADS=1 and =8); the hot and tree decoders
+# must agree, and the golden and fuzzed streams must answer exactly as
+# their golden transcripts record.
 for threads in 1 8; do
     echo "    DSE_THREADS=$threads wire_alloc"
     DSE_THREADS=$threads cargo test -q --offline --test wire_alloc > /dev/null
 done
-echo "    json_wire (codec + transcript differentials)"
+echo "    json_wire (codec parity + golden transcripts)"
 cargo test -q --offline --test json_wire > /dev/null
-echo "    server suite under DSE_WIRE_ENGINE=tree (oracle path stays green)"
-DSE_WIRE_ENGINE=tree cargo test -q --offline --test server > /dev/null
 
 echo "==> server smoke gate: scripted conversation vs golden transcript"
 SMOKE_DIR=$(mktemp -d)
@@ -122,6 +122,12 @@ wait "$SERVE_PID"
 diff -u tests/golden/server_smoke.golden "$SMOKE_DIR/transcript.txt"
 rm -rf "$SMOKE_DIR"
 echo "    transcript matches golden, clean shutdown"
+
+echo "==> socket benchmark: dsebench builds against the server API and its smoke test passes"
+# A package of its own (not a workspace member), so the workspace build
+# and tests above never compile it.
+cargo build --release --offline --manifest-path dsebench/Cargo.toml
+cargo test --release --offline --manifest-path dsebench/Cargo.toml
 
 echo "==> regenerating tables_output.txt"
 cargo run --release --offline -p bench --bin tables -- all > tables_output.txt

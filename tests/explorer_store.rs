@@ -3,7 +3,7 @@
 //! Seeded random spaces and libraries, driven through random
 //! decide/undo/revise trails; after every step, every [`Explorer`]
 //! query answered by the columnar engine must be **bit-identical** to
-//! the legacy scan oracle (`DSE_EXPLORER_ENGINE=scan` path) — survivor
+//! the legacy scan oracle (`ExplorerEngine::Scan`) — survivor
 //! lists, counts, pages, evaluation spaces, merit ranges, Pareto
 //! fronts, bound queries, issue-impact rankings and solver-pruned sets
 //! — and identical again at every `DSE_THREADS` ∈ {1, 2, 8}.
@@ -129,19 +129,15 @@ fn columnar_matches_scan_across_trails_and_thread_counts() {
     }
 }
 
-/// The env override is honored: `scan` forces the oracle, anything else
-/// stays columnar.
+/// Explorers start on the columnar engine; only an explicit
+/// `set_engine` selects the scan oracle.
 #[test]
 fn engine_defaults_to_columnar() {
     let spec = CoreSpaceSpec::sized(10);
     let (space, root) = synthetic_core_space(&spec);
     let library = synthetic_cores(&spec);
     let exp = Explorer::new(&space, root, &library);
-    if std::env::var("DSE_EXPLORER_ENGINE").as_deref() == Ok("scan") {
-        assert_eq!(exp.engine(), ExplorerEngine::Scan);
-    } else {
-        assert_eq!(exp.engine(), ExplorerEngine::Columnar);
-    }
+    assert_eq!(exp.engine(), ExplorerEngine::Columnar);
 }
 
 /// Duplicate libraries collapse to union semantics in the roster, on
@@ -159,7 +155,7 @@ fn duplicate_library_union_is_engine_independent() {
 }
 
 /// A second library only contributes records with novel
-/// `(vendor, name)` pairs.
+/// `(vendor, name)` pairs, on both engines.
 #[test]
 fn overlapping_records_keep_first_occurrence() {
     let spec = CoreSpaceSpec::sized(12);
@@ -168,9 +164,12 @@ fn overlapping_records_keep_first_occurrence() {
     let mut other = ReuseLibrary::new("other");
     other.push(CoreRecord::new("c3", "synthetic", "shadowed duplicate"));
     other.push(CoreRecord::new("novel", "synthetic", ""));
-    let exp = Explorer::with_libraries(&space, root, [&library, &other]);
-    let all = exp.surviving_cores();
-    assert_eq!(all.len(), 13);
-    let c3 = all.iter().find(|c| c.name() == "c3").unwrap();
-    assert_eq!(c3.doc(), "", "first occurrence wins");
+    let mut exp = Explorer::with_libraries(&space, root, [&library, &other]);
+    for engine in [ExplorerEngine::Columnar, ExplorerEngine::Scan] {
+        exp.set_engine(engine);
+        let all = exp.surviving_cores();
+        assert_eq!(all.len(), 13, "{engine:?}");
+        let c3 = all.iter().find(|c| c.name() == "c3").unwrap();
+        assert_eq!(c3.doc(), "", "first occurrence wins ({engine:?})");
+    }
 }

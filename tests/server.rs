@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use design_space_layer::dse_server::{Engine, EngineBuilder, Server};
 use design_space_layer::foundation::json::Json;
-use design_space_layer::foundation::net;
 use design_space_layer::foundation::rng::{Rng, SeedableRng, StdRng};
+use design_space_layer::foundation::{net, par};
 use design_space_layer::techlib::Technology;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -343,6 +343,38 @@ fn tcp_conversation_pipelines_and_drains_gracefully() {
     }
     // Drain: the daemon stops accepting and run() returns cleanly.
     serve_thread.join().unwrap().expect("clean drain");
+}
+
+/// A `shutdown` pipelined into a batch is a barrier: requests submitted
+/// before it answer as if it had not arrived yet, requests after it see
+/// the drain — at every pool size, since the other groups of a batch
+/// run in parallel.
+#[test]
+fn pipelined_shutdown_is_a_barrier_within_its_batch() {
+    for threads in [1usize, 2, 8] {
+        let engine = engine(None);
+        let batch: Vec<String> = [
+            r#"{"op":"open","session":"a","snapshot":"crypto","id":1}"#,
+            r#"{"op":"decide","session":"a","name":"EOL","value":768,"id":2}"#,
+            r#"{"op":"open","snapshot":"fir","id":3}"#,
+            r#"{"op":"shutdown","id":4}"#,
+            r#"{"op":"open","session":"b","snapshot":"fir","id":5}"#,
+            r#"{"op":"report","session":"a","id":6}"#,
+        ]
+        .map(str::to_owned)
+        .to_vec();
+        let responses = par::with_thread_limit(threads, || engine.handle_batch(&batch));
+        for (i, response) in responses.iter().enumerate() {
+            if i == 4 {
+                assert!(
+                    response.contains(r#""code":"DSL308""#),
+                    "open after shutdown must be refused ({threads} threads): {response}"
+                );
+            } else {
+                ok(response);
+            }
+        }
+    }
 }
 
 /// The `viable` op: a propagation-solver lookahead over a session's
